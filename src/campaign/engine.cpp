@@ -145,25 +145,60 @@ std::set<std::string> canonical_set(const std::vector<Signature>& sigs) {
   return out;
 }
 
-/// Parse "mutant:<hash>:<kind>" back into an arm for replay attribution.
-bool parse_mutant_provenance(const std::string& prov, std::string* hash,
-                             std::string* kind) {
-  if (prov.rfind("mutant:", 0) != 0) return false;
-  const std::size_t colon = prov.find(':', 7);
-  if (colon == std::string::npos) return false;
-  *hash = prov.substr(7, colon - 7);
-  *kind = prov.substr(colon + 1);
-  return !hash->empty() && !kind->empty();
+/// Single-case replay behind every minimizer oracle: serial (jobs=1),
+/// memoized through the caller's caches and retried under the executor's
+/// fault policy.  Returns false when the probe faulted out (quarantine).
+bool replay_spec(const core::ExecutorConfig& executor, const net::Chain& chain,
+                 const http::RequestSpec& spec, core::ObservationMemo* memo,
+                 net::VerdictCache* verdicts, std::vector<Signature>* sigs) {
+  core::TestCase probe;
+  probe.uuid = "camp-minimize-probe";
+  probe.raw = spec.to_wire();
+  probe.description = "minimizer probe";
+  probe.origin = core::TestOrigin::kMutation;
+  bool quarantined = false;
+  core::ExecutorConfig ec = executor;
+  ec.jobs = 1;
+  ec.shared_memo = memo;
+  ec.shared_verdicts = verdicts;
+  ec.obs = {};
+  ec.on_delta = [&](std::size_t, const core::TestCase&,
+                    const core::DetectionResult& delta, bool q) {
+    quarantined = q;
+    if (!q) *sigs = signatures_of(delta);
+  };
+  core::ParallelExecutor(ec).run(chain, {probe});
+  return !quarantined;
 }
 
-/// Same for "stream-mutant:<hash>:<kind>".
-bool parse_stream_mutant_provenance(const std::string& prov, std::string* hash,
-                                    std::string* kind) {
-  constexpr std::size_t kPrefix = 14;  // "stream-mutant:"
-  if (prov.rfind("stream-mutant:", 0) != 0) return false;
-  const std::size_t colon = prov.find(':', kPrefix);
+/// Delta-debug `spec` while every signature in `target` still reproduces.
+MinimizeOutcome minimize_against(const http::RequestSpec& spec,
+                                 const std::vector<Signature>& target,
+                                 const core::ExecutorConfig& executor,
+                                 const net::Chain& chain,
+                                 core::ObservationMemo* memo,
+                                 net::VerdictCache* verdicts,
+                                 const MinimizeOptions& options) {
+  const auto want = canonical_set(target);
+  auto oracle = [&](const http::RequestSpec& candidate) {
+    std::vector<Signature> sigs;
+    if (!replay_spec(executor, chain, candidate, memo, verdicts, &sigs)) {
+      return false;
+    }
+    const auto got = canonical_set(sigs);
+    return std::includes(got.begin(), got.end(), want.begin(), want.end());
+  };
+  return minimize_spec(spec, oracle, options);
+}
+
+/// Parse "<prefix><hash>:<kind>" ("mutant:" or "stream-mutant:") back into
+/// an arm for replay attribution.
+bool parse_provenance(std::string_view prefix, const std::string& prov,
+                      std::string* hash, std::string* kind) {
+  if (prov.rfind(prefix, 0) != 0) return false;
+  const std::size_t colon = prov.find(':', prefix.size());
   if (colon == std::string::npos) return false;
-  *hash = prov.substr(kPrefix, colon - kPrefix);
+  *hash = prov.substr(prefix.size(), colon - prefix.size());
   *kind = prov.substr(colon + 1);
   return !hash->empty() && !kind->empty();
 }
@@ -277,7 +312,7 @@ RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
       // replay goes back through observe_stream, and re-attribute its arm
       // against the stream corpus.
       pc.is_stream = stream::deserialize_stream(r.spec_text, &pc.stream);
-      if (parse_stream_mutant_provenance(r.provenance, &hash, &kind)) {
+      if (parse_provenance("stream-mutant:", r.provenance, &hash, &kind)) {
         for (std::size_t e = 0; e < store.stream_entries.size(); ++e) {
           if (store.stream_entries[e].hash == hash) {
             pc.arm_entry = e;
@@ -288,7 +323,7 @@ RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
       }
     } else {
       if (!r.spec_text.empty()) deserialize_spec(r.spec_text, &pc.spec);
-      if (parse_mutant_provenance(r.provenance, &hash, &kind)) {
+      if (parse_provenance("mutant:", r.provenance, &hash, &kind)) {
         for (std::size_t e = 0; e < store.entries.size(); ++e) {
           if (store.entries[e].hash == hash) {
             pc.arm_entry = e;
@@ -571,31 +606,6 @@ RoundReport integrate_round(StateStore& store, const CampaignConfig& config,
   rr.round = round;
   rr.cases = planned.size();
 
-  // Single-case replay used by the minimizer oracle.  Serial (jobs=1) and
-  // memoized, so repeated candidates are cache hits.
-  auto signatures_of_spec = [&](const http::RequestSpec& spec) {
-    core::TestCase probe;
-    probe.uuid = "camp-minimize-probe";
-    probe.raw = spec.to_wire();
-    probe.description = "minimizer probe";
-    probe.origin = core::TestOrigin::kMutation;
-    std::vector<Signature> sigs;
-    bool quarantined = false;
-    core::ExecutorConfig ec = config.executor;
-    ec.jobs = 1;
-    ec.shared_memo = memo;
-    ec.shared_verdicts = verdicts;
-    ec.obs = {};
-    ec.on_delta = [&](std::size_t, const core::TestCase&,
-                      const core::DetectionResult& delta, bool q) {
-      quarantined = q;
-      if (!q) sigs = signatures_of(delta);
-    };
-    core::ParallelExecutor executor(ec);
-    executor.run(chain, {probe});
-    return std::make_pair(std::move(sigs), quarantined);
-  };
-
   for (std::size_t i = 0; i < planned.size(); ++i) {
     const PlannedCase& pc = planned[i];
     const CaseOutcome& oc = outcomes[i];
@@ -667,15 +677,9 @@ RoundReport integrate_round(StateStore& store, const CampaignConfig& config,
     if (interesting && !pc.spec_text.empty()) {
       http::RequestSpec stored = pc.spec;
       if (config.minimize_new) {
-        const auto target = canonical_set(oc.signatures);
-        auto oracle = [&](const http::RequestSpec& candidate) {
-          auto [sigs, q] = signatures_of_spec(candidate);
-          if (q) return false;
-          const auto got = canonical_set(sigs);
-          return std::includes(got.begin(), got.end(), target.begin(),
-                               target.end());
-        };
-        MinimizeOutcome mo = minimize_spec(stored, oracle, config.minimize);
+        MinimizeOutcome mo =
+            minimize_against(stored, oc.signatures, config.executor, chain,
+                             memo, verdicts, config.minimize);
         rr.minimize_steps += mo.steps;
         if (config.obs.metrics) {
           config.obs.metrics->histogram("hdiff_campaign_minimize_steps")
@@ -730,9 +734,14 @@ void emit_round_metrics(const obs::Observability& obs, const RoundReport& rr,
 
 namespace {
 
-/// Copy the store's coverage totals (and the top unhit sites) into a
-/// report; shared by run()'s exit paths and status().
-void fill_coverage_report(CampaignReport& report, const StateStore& store) {
+/// Copy the store's totals (and the top unhit coverage sites) into a
+/// report; shared by run_rounds()'s exit paths and status().
+void fill_totals(CampaignReport& report, const StateStore& store) {
+  report.rounds_completed = store.rounds_completed;
+  report.total_findings = store.findings.size();
+  report.corpus_entries = store.entries.size();
+  report.stream_entries = store.stream_entries.size();
+  report.retry_depth = store.retry_queue.size();
   report.coverage_enabled = store.coverage_enabled();
   if (!report.coverage_enabled) return;
   report.coverage_weighting = store.coverage_weighting;
@@ -748,75 +757,65 @@ void fill_coverage_report(CampaignReport& report, const StateStore& store) {
 
 }  // namespace
 
-CampaignEngine::CampaignEngine(CampaignConfig config)
-    : config_(std::move(config)) {
-  if (config_.seeds.empty()) config_.seeds = default_campaign_seeds();
-}
-
-CampaignReport CampaignEngine::run(
-    const std::vector<std::unique_ptr<impls::HttpImplementation>>& fleet) {
-  CampaignReport report;
-  const std::string sig = campaign_config_sig(config_);
-
-  StateStore store(config_.state_dir);
-  // Writer lock first: two engines appending to one state dir would corrupt
+OpenedCampaign open_campaign(StateStore& store, const CampaignConfig& config) {
+  OpenedCampaign opened;
+  const std::string sig = campaign_config_sig(config);
+  // Writer lock first: two writers appending to one state dir would corrupt
   // the findings artifact; the loser gets a structured refusal instead.
   if (!store.acquire_lock()) {
-    report.error = store.error();
-    return report;
+    opened.error = store.error();
+    return opened;
   }
   if (store.exists()) {
     if (!store.load()) {
-      report.error = store.error();
-      return report;
+      opened.error = store.error();
+      return opened;
     }
     if (store.config_sig != sig) {
-      report.error = "config signature mismatch: state dir " +
-                     config_.state_dir + " was created by a campaign with " +
+      opened.error = "config signature mismatch: state dir " +
+                     config.state_dir + " was created by a campaign with " +
                      "different seeds/bootstrap/budget (" + store.config_sig +
                      " vs " + sig + ")";
-      return report;
+      return opened;
     }
-    report.resumed = true;
-  } else {
-    if (!store.init(sig)) {
-      report.error = store.error();
-      return report;
-    }
+    opened.resumed = true;
+  } else if (!store.init(sig)) {
+    opened.error = store.error();
+    return opened;
   }
   // Seed entries are (re-)registered on every fresh start: add_entry is
   // idempotent, and a crash before the round-0 commit leaves a checkpoint
   // with no entries, healed here on resume.
   if (store.rounds_completed == 0) {
-    register_seed_entries(store, config_);
-    register_stream_seed_entries(store, config_);
+    register_seed_entries(store, config);
+    register_stream_seed_entries(store, config);
   }
-  adopt_coverage(store, config_);
+  // Sharded workers re-plan from the committed checkpoint, so adopting the
+  // plan here is all it takes for every shard to see identical ids.
+  adopt_coverage(store, config);
+  return opened;
+}
 
-  net::Chain chain = net::Chain::from_fleet(fleet);
-  // Cross-round caches: a mutant re-scheduled in a later round (or replayed
-  // by the minimizer) costs a hash lookup instead of a chain observation.
-  core::ObservationMemo memo;
-  net::VerdictCache verdicts;
+CampaignReport run_rounds(StateStore& store, const CampaignConfig& config,
+                          const RoundLoop& loop) {
+  CampaignReport report;
+  const std::size_t total_rounds = config.rounds + 1;
+  while (store.rounds_completed < total_rounds) {
+    if (loop.keep_going && !loop.keep_going()) break;
+    const std::size_t round = store.rounds_completed;
+    obs::Span round_span(loop.trace, loop.span_name, loop.span_cat);
+    if (loop.trace) round_span.arg("round", std::to_string(round));
 
-  const std::size_t total_rounds = config_.rounds + 1;
-  for (std::size_t round = store.rounds_completed; round < total_rounds;
-       ++round) {
-    obs::Span round_span(config_.obs.trace, "campaign:round", "campaign");
-    if (config_.obs.trace) {
-      round_span.arg("round", std::to_string(round));
-    }
-
-    RoundPlan plan = plan_round(store, config_, round);
-    ExecutedRound executed =
-        execute_round(config_, chain, plan.cases, &memo, &verdicts);
+    RoundPlan plan = plan_round(store, config, round);
+    ExecutedRound executed;
+    if (!loop.execute(round, plan, &executed, &report.error)) return report;
     if (round == 0) report.bootstrap_findings = std::move(executed.total);
 
-    RoundReport rr = integrate_round(store, config_, round, plan.cases,
-                                     executed.outcomes, chain, &memo,
-                                     &verdicts);
+    RoundReport rr =
+        integrate_round(store, config, round, plan.cases, executed.outcomes,
+                        *loop.chain, loop.memo, loop.verdicts);
     rr.replayed = plan.replayed;
-    emit_round_metrics(config_.obs, rr, store);
+    emit_round_metrics(config.obs, rr, store);
     report.rounds.push_back(rr);
     report.novel_total += rr.novel;
     report.duplicate_total += rr.duplicate;
@@ -826,28 +825,52 @@ CampaignReport CampaignEngine::run(
     // add_finding); the rename below is the commit point.  The crash hook
     // stops exactly between the two — the worst window — which load() heals
     // by truncating the artifact back to the checkpoint.
-    if (config_.crash_after_round == static_cast<int>(round)) {
+    if (config.crash_after_round == static_cast<int>(round)) {
       report.interrupted = true;
-      report.rounds_completed = store.rounds_completed;
-      report.total_findings = store.findings.size();
-      report.corpus_entries = store.entries.size();
-      report.stream_entries = store.stream_entries.size();
-      report.retry_depth = store.retry_queue.size();
-      fill_coverage_report(report, store);
-      return report;
+      break;
     }
     if (!store.commit_round(round)) {
       report.error = store.error();
       return report;
     }
+    if (loop.after_commit) loop.after_commit(rr);
+  }
+  fill_totals(report, store);
+  return report;
+}
+
+CampaignEngine::CampaignEngine(CampaignConfig config)
+    : config_(std::move(config)) {
+  if (config_.seeds.empty()) config_.seeds = default_campaign_seeds();
+}
+
+CampaignReport CampaignEngine::run(
+    const std::vector<std::unique_ptr<impls::HttpImplementation>>& fleet) {
+  StateStore store(config_.state_dir);
+  const OpenedCampaign opened = open_campaign(store, config_);
+  if (!opened.error.empty()) {
+    CampaignReport report;
+    report.error = opened.error;
+    return report;
   }
 
-  report.rounds_completed = store.rounds_completed;
-  report.total_findings = store.findings.size();
-  report.corpus_entries = store.entries.size();
-  report.stream_entries = store.stream_entries.size();
-  report.retry_depth = store.retry_queue.size();
-  fill_coverage_report(report, store);
+  const net::Chain chain = net::Chain::from_fleet(fleet);
+  // Cross-round caches: a mutant re-scheduled in a later round (or replayed
+  // by the minimizer) costs a hash lookup instead of a chain observation.
+  core::ObservationMemo memo;
+  net::VerdictCache verdicts;
+  RoundLoop loop;
+  loop.execute = [&](std::size_t, const RoundPlan& plan,
+                     ExecutedRound* executed, std::string*) {
+    *executed = execute_round(config_, chain, plan.cases, &memo, &verdicts);
+    return true;
+  };
+  loop.trace = config_.obs.trace;
+  loop.chain = &chain;
+  loop.memo = &memo;
+  loop.verdicts = &verdicts;
+  CampaignReport report = run_rounds(store, config_, loop);
+  report.resumed = opened.resumed;
   return report;
 }
 
@@ -865,11 +888,6 @@ CampaignReport CampaignEngine::status(const std::string& state_dir) {
     report.error = store.error();
     return report;
   }
-  report.rounds_completed = store.rounds_completed;
-  report.total_findings = store.findings.size();
-  report.corpus_entries = store.entries.size();
-  report.stream_entries = store.stream_entries.size();
-  report.retry_depth = store.retry_queue.size();
   for (std::size_t r = 0; r < store.rounds_completed; ++r) {
     RoundReport rr;
     rr.round = r;
@@ -879,7 +897,7 @@ CampaignReport CampaignEngine::status(const std::string& state_dir) {
     report.rounds.push_back(rr);
     report.novel_total += rr.novel;
   }
-  fill_coverage_report(report, store);
+  fill_totals(report, store);
   return report;
 }
 
@@ -892,40 +910,20 @@ CampaignEngine::MinimizeReport CampaignEngine::minimize_corpus(
     report.error = store.error();
     return report;
   }
-  net::Chain chain = net::Chain::from_fleet(fleet);
+  const net::Chain chain = net::Chain::from_fleet(fleet);
+  const core::ExecutorConfig executor;
   core::ObservationMemo memo;
   net::VerdictCache verdicts;
-  core::DetectionEngine engine;
-  auto signatures_of_spec = [&](const http::RequestSpec& spec) {
-    const std::string raw = spec.to_wire();
-    const net::ChainObservation* cached = memo.find(raw);
-    core::TestCase probe;
-    probe.uuid = "camp-minimize-probe";
-    probe.raw = raw;
-    probe.origin = core::TestOrigin::kMutation;
-    if (cached == nullptr) {
-      cached = memo.insert(
-          raw, chain.observe(probe.uuid, raw, /*echo=*/nullptr, &verdicts));
-    }
-    if (cached->faulted())
-      return std::make_pair(std::vector<Signature>{}, true);
-    return std::make_pair(signatures_of(engine.evaluate(probe, *cached)),
-                          false);
-  };
   for (const auto& entry : store.entries) {
     if (entry.provenance.rfind("mutant:", 0) != 0) continue;
     ++report.entries;
-    auto [target_sigs, faulted] = signatures_of_spec(entry.spec);
-    if (faulted || target_sigs.empty()) continue;
-    const auto target = canonical_set(target_sigs);
-    auto oracle = [&](const http::RequestSpec& candidate) {
-      auto [sigs, q] = signatures_of_spec(candidate);
-      if (q) return false;
-      const auto got = canonical_set(sigs);
-      return std::includes(got.begin(), got.end(), target.begin(),
-                           target.end());
-    };
-    MinimizeOutcome mo = minimize_spec(entry.spec, oracle);
+    std::vector<Signature> target;
+    if (!replay_spec(executor, chain, entry.spec, &memo, &verdicts, &target) ||
+        target.empty()) {
+      continue;
+    }
+    const MinimizeOutcome mo = minimize_against(
+        entry.spec, target, executor, chain, &memo, &verdicts, {});
     report.steps += mo.steps;
     if (mo.accepted > 0) ++report.shrunk;
   }

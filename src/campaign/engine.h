@@ -25,8 +25,10 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/fingerprint.h"
@@ -144,7 +146,7 @@ std::vector<SeedSpec> default_campaign_seeds();
 /// legitimate and changes nothing already committed).
 std::string campaign_config_sig(const CampaignConfig& config);
 
-// ---- round reentry hooks (shared by CampaignEngine::run and hdiff serve) --
+// ---- round reentry hooks (driven by run_rounds below) ---------------------
 //
 // A round decomposes into three pure-ish stages:
 //
@@ -252,19 +254,64 @@ void register_stream_seed_entries(StateStore& store,
 /// Adopt the config's coverage plan into the store.  A checkpoint that
 /// already carries a plan wins (resume byte-identity); a config without a
 /// plan never erases one.  On a fresh adopt the bootstrap cone seeds the
-/// covered set.  Called after init/load by run() and the serve supervisor.
+/// covered set.  Called after init/load by open_campaign().
 void adopt_coverage(StateStore& store, const CampaignConfig& config);
 
 /// Fold one round's accounting into the hdiff_campaign_* metrics.
 void emit_round_metrics(const obs::Observability& obs, const RoundReport& rr,
                         const StateStore& store);
 
+// ---- the round lifecycle (CampaignEngine::run and hdiff serve) -----------
+
+struct OpenedCampaign {
+  std::string error;     ///< non-empty = refused; the state dir is untouched
+  bool resumed = false;  ///< picked up an existing checkpoint
+};
+
+/// Open the campaign at `config.state_dir` for writing: take the writer
+/// lock, load the checkpoint (refusing a config-signature mismatch) or init
+/// a fresh one, (re-)register the seeds while no round is committed, and
+/// adopt the coverage plan.
+OpenedCampaign open_campaign(StateStore& store, const CampaignConfig& config);
+
+/// What a front end plugs into run_rounds().  Everything else — the round
+/// span, plan, integrate, metrics, the crash window, commit and the report
+/// totals — is the loop's own.
+struct RoundLoop {
+  /// Execute a planned round: fill `executed->outcomes` index-aligned with
+  /// the plan (`total` is kept for round 0).  Return false with `*error`
+  /// set to stop the campaign.
+  std::function<bool(std::size_t round, const RoundPlan& plan,
+                     ExecutedRound* executed, std::string* error)>
+      execute;
+  /// Asked before every round; false stops the loop (serve's drain).
+  /// Empty = run until the round target.
+  std::function<bool()> keep_going;
+  /// Called after each round's commit.
+  std::function<void(const RoundReport&)> after_commit;
+  /// Per-round span ("campaign:round" / "serve:round"); null = untraced.
+  obs::TraceSink* trace = nullptr;
+  std::string_view span_name = "campaign:round";
+  std::string_view span_cat = "campaign";
+  /// Chain and caches of integrate_round's minimizer oracle.
+  const net::Chain* chain = nullptr;
+  core::ObservationMemo* memo = nullptr;
+  net::VerdictCache* verdicts = nullptr;
+};
+
+/// Run rounds on a store opened by open_campaign() until
+/// `config.rounds + 1` are committed, `keep_going` says stop, or
+/// `config.crash_after_round` fires.  `resumed` is left to the caller.
+CampaignReport run_rounds(StateStore& store, const CampaignConfig& config,
+                          const RoundLoop& loop);
+
 class CampaignEngine {
  public:
   explicit CampaignEngine(CampaignConfig config);
 
   /// Run (or resume) the campaign against `fleet` until
-  /// `config.rounds + 1` total rounds are committed.  On config-signature
+  /// `config.rounds + 1` total rounds are committed: run_rounds() executing
+  /// every case on threads with cross-round caches.  On config-signature
   /// mismatch with an existing checkpoint, fails without touching it.
   CampaignReport run(
       const std::vector<std::unique_ptr<impls::HttpImplementation>>& fleet);

@@ -1,5 +1,7 @@
 #include "campaign/shard.h"
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -37,6 +39,53 @@ std::vector<std::size_t> shard_indices(const std::vector<PlannedCase>& planned,
     if (shard_of(planned[i].tc.raw, shards) == shard) out.push_back(i);
   }
   return out;
+}
+
+ShardResult execute_shard(const CampaignConfig& config,
+                          const net::Chain& chain, const RoundPlan& plan,
+                          std::size_t round, std::size_t shard,
+                          std::size_t shards, const std::string& config_sig,
+                          bool export_metrics, bool export_trace) {
+  const std::vector<std::size_t> mine =
+      shard_indices(plan.cases, shard, shards);
+  // Shard-local observability: instruments live here and leave only inside
+  // the result, so the counts a fleet registry absorbs are exactly the
+  // counts that produced the published outcomes.
+  obs::Registry registry;
+  obs::TraceSink sink(config.obs.clock);
+  CampaignConfig cfg = config;
+  cfg.obs.metrics = export_metrics ? &registry : nullptr;
+  cfg.obs.trace = export_trace ? &sink : nullptr;
+  core::ObservationMemo memo;
+  net::VerdictCache verdicts;
+  ExecutedRound executed;
+  {
+    obs::Span span(cfg.obs.trace, "worker:execute_round", "serve");
+    span.arg("shard", std::to_string(shard) + "/" + std::to_string(shards) +
+                          " round " + std::to_string(round));
+    executed = execute_round(cfg, chain, plan.cases, &memo, &verdicts, &mine);
+  }
+
+  ShardResult result;
+  result.round = round;
+  result.shard = shard;
+  result.shards = shards;
+  result.config_sig = config_sig;
+  result.faulted_attempts = executed.stats.faulted_attempts;
+  result.retry_attempts = executed.stats.retry_attempts;
+  result.recovered_cases = executed.stats.recovered_cases;
+  result.quarantined_cases = executed.stats.quarantined_cases;
+  for (std::size_t index : mine) {
+    result.outcomes.emplace(index, std::move(executed.outcomes[index]));
+  }
+  // Snapshot after the executor has joined its workers (execute_round
+  // returns post-join), satisfying the registry/sink quiescence contract.
+  if (export_metrics) result.metrics = registry.snapshot();
+  if (export_trace) {
+    result.trace_pid = static_cast<std::uint32_t>(::getpid());
+    result.trace = sink.export_events();
+  }
+  return result;
 }
 
 std::string shard_result_path(const std::string& state_dir, std::size_t round,

@@ -65,6 +65,19 @@ struct ShardResult {
   std::vector<obs::TraceEvent> trace;
 };
 
+/// Execute the cases of `plan` that `shard` owns and package them as that
+/// shard's result: the one body behind a serve worker process and the
+/// supervisor's inline fallback.  The memo and verdict cache are fresh per
+/// (round, shard), so merged /metrics totals do not depend on where a shard
+/// ran.  With `export_metrics` / `export_trace` the shard's own registry
+/// snapshot and span buffer (scratch instruments, never the config's) ride
+/// in the result.  Writes nothing; publishing is the caller's.
+ShardResult execute_shard(const CampaignConfig& config,
+                          const net::Chain& chain, const RoundPlan& plan,
+                          std::size_t round, std::size_t shard,
+                          std::size_t shards, const std::string& config_sig,
+                          bool export_metrics, bool export_trace);
+
 /// Canonical result path: `<state-dir>/shards/round-<r>-shard-<k>.result`.
 std::string shard_result_path(const std::string& state_dir, std::size_t round,
                               std::size_t shard);

@@ -8,7 +8,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -20,6 +19,7 @@
 #include "net/chain.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "report/json.h"
 #include "serve/flight.h"
 #include "serve/worker.h"
 
@@ -31,29 +31,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using TimePoint = Clock::time_point;
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// One worker slot (one shard) of the executing round.
 struct Slot {
@@ -144,17 +121,15 @@ class Runner {
   net::ControlResponse handle(const net::ControlRequest& rq);
   std::string status_json() const;
 
-  bool execute_round_sharded(std::size_t round,
-                             const campaign::RoundPlan& plan,
-                             std::vector<campaign::ShardResult>* results);
+  std::vector<campaign::ShardResult> execute_round_sharded(
+      std::size_t round, const campaign::RoundPlan& plan);
   bool spawn_worker(std::size_t shard, std::size_t round);
   void release_slot(Slot& slot);
   void on_death(std::size_t shard);
   campaign::ShardResult run_inline(std::size_t round,
                                    const campaign::RoundPlan& plan,
                                    std::size_t shard);
-  void accumulate_stats(const campaign::ShardResult& result);
-  void absorb_obs(const campaign::ShardResult& result);
+  void absorb(const campaign::ShardResult& result);
   void update_health_gauge();
 
   const ServeConfig& config_;
@@ -192,7 +167,6 @@ class Runner {
   std::size_t cum_cases_ = 0;
   std::size_t cum_novel_ = 0;
   std::size_t cum_duplicate_ = 0;
-  bool drain_recorded_ = false;  ///< flight "drain" event fired once
 };
 
 void Runner::release_slot(Slot& slot) {
@@ -274,7 +248,7 @@ net::ControlResponse Runner::handle(const net::ControlRequest& rq) {
 
 std::string Runner::status_json() const {
   std::string out = "{";
-  out += "\"campaign\":\"" + json_escape(config_.campaign_id) + "\",";
+  out += "\"campaign\":" + report::json_string(config_.campaign_id) + ",";
   out += std::string("\"state\":\"") +
          (drain_requested() ? "draining" : "running") + "\",";
   out += "\"degraded\":" + std::string(degraded() ? "true" : "false") + ",";
@@ -423,60 +397,23 @@ void Runner::on_death(std::size_t shard) {
 campaign::ShardResult Runner::run_inline(std::size_t round,
                                          const campaign::RoundPlan& plan,
                                          std::size_t shard) {
-  const std::vector<std::size_t> mine =
-      campaign::shard_indices(plan.cases, shard, shards());
-  // Inline execution mirrors a worker process exactly: fresh memo/verdict
-  // caches scoped to this (round, shard) and scratch obs instruments that
-  // travel back inside the shard result.  That single shape keeps
-  // /metrics totals identical between sharded and --in-process runs (a
-  // shared cross-round memo would skip observations a worker would make)
-  // and gives every absorbed snapshot exactly-once semantics.
-  obs::Registry scratch_registry;
-  obs::TraceSink scratch_sink(config_.campaign.obs.clock);
-  campaign::CampaignConfig cfg = config_.campaign;
-  cfg.obs.metrics = fleet_->enabled() ? &scratch_registry : nullptr;
-  cfg.obs.trace = config_.obs.trace != nullptr ? &scratch_sink : nullptr;
-  core::ObservationMemo memo;
-  net::VerdictCache verdicts;
-  campaign::ExecutedRound executed;
-  {
-    obs::Span span(cfg.obs.trace, "worker:execute_round", "serve");
-    span.arg("shard", std::to_string(shard) + "/" + std::to_string(shards()) +
-                          " round " + std::to_string(round) + " (inline)");
-    executed = campaign::execute_round(cfg, chain_, plan.cases, &memo,
-                                       &verdicts, &mine);
-  }
-  campaign::ShardResult result;
-  result.round = round;
-  result.shard = shard;
-  result.shards = shards();
-  result.config_sig = store_.config_sig;
-  result.faulted_attempts = executed.stats.faulted_attempts;
-  result.retry_attempts = executed.stats.retry_attempts;
-  result.recovered_cases = executed.stats.recovered_cases;
-  result.quarantined_cases = executed.stats.quarantined_cases;
-  for (std::size_t index : mine) {
-    result.outcomes.emplace(index, executed.outcomes[index]);
-  }
-  if (fleet_->enabled()) result.metrics = scratch_registry.snapshot();
-  if (cfg.obs.trace != nullptr) {
-    result.trace_pid = static_cast<std::uint32_t>(::getpid());
-    result.trace = scratch_sink.export_events();
-  }
+  // Inline execution is a worker's execute_shard in this process, so
+  // /metrics totals match a sharded run and every absorbed snapshot keeps
+  // its exactly-once semantics.
+  campaign::ShardResult result = campaign::execute_shard(
+      config_.campaign, chain_, plan, round, shard, shards(),
+      store_.config_sig, fleet_->enabled(), config_.obs.trace != nullptr);
   // Published durably like a worker's, so a supervisor crash right after an
   // inline run still resumes without re-observing this shard.
   campaign::write_shard_result(config_.campaign.state_dir, result);
   return result;
 }
 
-void Runner::accumulate_stats(const campaign::ShardResult& result) {
+void Runner::absorb(const campaign::ShardResult& result) {
   cum_faulted_ += result.faulted_attempts;
   cum_retry_ += result.retry_attempts;
   cum_recovered_ += result.recovered_cases;
   cum_quarantined_cases_ += result.quarantined_cases;
-}
-
-void Runner::absorb_obs(const campaign::ShardResult& result) {
   // The single cross-process merge point: only adopted (durable, header-
   // validated) results get here, so worker observability is absorbed
   // exactly once per unit of completed work — partial counts from killed
@@ -501,9 +438,8 @@ void Runner::update_health_gauge() {
   sobs_.workers_healthy->set(n);
 }
 
-bool Runner::execute_round_sharded(
-    std::size_t round, const campaign::RoundPlan& plan,
-    std::vector<campaign::ShardResult>* results) {
+std::vector<campaign::ShardResult> Runner::execute_round_sharded(
+    std::size_t round, const campaign::RoundPlan& plan) {
   const std::size_t n = shards();
   std::vector<std::optional<campaign::ShardResult>> done(n);
   slots_.assign(n, Slot{});
@@ -518,8 +454,7 @@ bool Runner::execute_round_sharded(
     campaign::ShardResult leftover;
     if (campaign::load_shard_result(config_.campaign.state_dir, round, k, n,
                                     store_.config_sig, &leftover)) {
-      accumulate_stats(leftover);
-      absorb_obs(leftover);
+      absorb(leftover);
       flight_.record("reuse_result", round, k,
                      "leftover shard result adopted");
       done[k] = std::move(leftover);
@@ -565,8 +500,7 @@ bool Runner::execute_round_sharded(
       // of an already-degraded configuration.
       if (inline_only || slot.health == WorkerHealth::kQuarantined) {
         campaign::ShardResult result = run_inline(round, plan, k);
-        accumulate_stats(result);
-        absorb_obs(result);
+        absorb(result);
         done[k] = std::move(result);
         slot.done = true;
         continue;
@@ -574,9 +508,8 @@ bool Runner::execute_round_sharded(
 
       if (slot.health == WorkerHealth::kIdle) {
         if (!spawn_worker(k, round)) on_death(k);
-        continue;
-      }
-      if (slot.health == WorkerHealth::kDegraded && now >= slot.respawn_at) {
+      } else if (slot.health == WorkerHealth::kDegraded &&
+                 now >= slot.respawn_at) {
         if (spawn_worker(k, round)) {
           ++report_.worker_restarts;
           if (sobs_.restarts) sobs_.restarts->add();
@@ -585,32 +518,28 @@ bool Runner::execute_round_sharded(
         } else {
           on_death(k);
         }
-        continue;
       }
-    }
 
-    // Chaos injection (tests): signal a freshly spawned worker.  Each
-    // action fires at most once ever (not once per spawn — a respawned
-    // worker must be allowed to finish, or a kill action would starve its
-    // shard forever).  The clock is re-read here so a zero-delay action
-    // fires in the same iteration as the spawn, while the child is still
-    // exec()ing — that makes the kill deterministic even for shards whose
-    // work would finish within one supervision poll.
-    now = Clock::now();
-    for (std::size_t a = 0; a < config_.chaos.size(); ++a) {
-      const ChaosAction& action = config_.chaos[a];
-      if (chaos_fired_[a] || action.round != round || action.shard >= n) {
-        continue;
+      // Chaos injection (tests): signal a freshly spawned worker.  Each
+      // action fires at most once ever (not once per spawn — a respawned
+      // worker must be allowed to finish, or a kill action would starve its
+      // shard forever).  Checked right after this slot's spawn, with the
+      // clock re-read, so a zero-delay action lands while the child is
+      // still starting up — deterministic even for shards whose work would
+      // finish before the remaining slots are spawned.
+      const TimePoint chaos_now = Clock::now();
+      for (std::size_t a = 0; a < config_.chaos.size(); ++a) {
+        const ChaosAction& action = config_.chaos[a];
+        if (chaos_fired_[a] || action.round != round || action.shard != k ||
+            slot.pid <= 0 ||
+            chaos_now - slot.spawned_at <
+                std::chrono::milliseconds(action.delay_ms)) {
+          continue;
+        }
+        chaos_fired_[a] = true;
+        ::kill(slot.pid,
+               action.kind == ChaosAction::Kind::kKill ? SIGKILL : SIGSTOP);
       }
-      Slot& slot = slots_[action.shard];
-      if (slot.pid <= 0 || slot.done) continue;
-      if (now - slot.spawned_at <
-          std::chrono::milliseconds(action.delay_ms)) {
-        continue;
-      }
-      chaos_fired_[a] = true;
-      ::kill(slot.pid,
-             action.kind == ChaosAction::Kind::kKill ? SIGKILL : SIGSTOP);
     }
 
     pump(poll_ms);
@@ -651,8 +580,7 @@ bool Runner::execute_round_sharded(
         campaign::ShardResult result;
         if (campaign::load_shard_result(config_.campaign.state_dir, round, k,
                                         n, store_.config_sig, &result)) {
-          accumulate_stats(result);
-          absorb_obs(result);
+          absorb(result);
           done[k] = std::move(result);
           slot.done = true;
           slot.consecutive_deaths = 0;
@@ -692,125 +620,85 @@ bool Runner::execute_round_sharded(
 
   executing_ = false;
   update_health_gauge();
-  results->clear();
-  results->reserve(n);
-  for (std::size_t k = 0; k < n; ++k) results->push_back(std::move(*done[k]));
-  return true;
+  std::vector<campaign::ShardResult> results;
+  results.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) results.push_back(std::move(*done[k]));
+  return results;
 }
 
 ServeReport Runner::run() {
-  const std::string sig = campaign::campaign_config_sig(config_.campaign);
-  if (!store_.acquire_lock()) {
-    report_.error = store_.error();
+  const campaign::OpenedCampaign opened =
+      campaign::open_campaign(store_, config_.campaign);
+  if (!opened.error.empty()) {
+    report_.error = opened.error;
     return report_;
   }
-  if (store_.exists()) {
-    if (!store_.load()) {
-      report_.error = store_.error();
-      return report_;
-    }
-    if (store_.config_sig != sig) {
-      report_.error = "config signature mismatch: state dir " +
-                      config_.campaign.state_dir +
-                      " was created by a campaign with different "
-                      "seeds/bootstrap/budget (" +
-                      store_.config_sig + " vs " + sig + ")";
-      return report_;
-    }
-    report_.resumed = true;
-  } else if (!store_.init(sig)) {
-    report_.error = store_.error();
-    return report_;
-  }
-  if (store_.rounds_completed == 0) {
-    campaign::register_seed_entries(store_, config_.campaign);
-    campaign::register_stream_seed_entries(store_, config_.campaign);
-  }
-  // Workers re-plan from the committed checkpoint, so adopting the coverage
-  // plan here is all it takes for every shard to see identical ids.
-  campaign::adopt_coverage(store_, config_.campaign);
+  report_.resumed = opened.resumed;
   ready_ = true;
   flight_.record(report_.resumed ? "resume" : "start", store_.rounds_completed,
                  FlightEvent::kNone,
                  std::to_string(shards()) + " shards, target " +
                      std::to_string(config_.campaign.rounds + 1) + " rounds");
 
-  const std::size_t total_rounds = config_.campaign.rounds + 1;
-  while (store_.rounds_completed < total_rounds) {
-    if (drain_requested()) {
-      report_.drained = true;
-      if (!drain_recorded_) {
-        drain_recorded_ = true;
-        flight_.record("drain", store_.rounds_completed);
-      }
-      break;
-    }
-    const std::size_t round = store_.rounds_completed;
+  campaign::RoundLoop loop;
+  loop.execute = [this](std::size_t round, const campaign::RoundPlan& plan,
+                        campaign::ExecutedRound* executed,
+                        std::string* error) {
     round_ = round;
     if (sobs_.round) sobs_.round->set(static_cast<std::int64_t>(round));
-
-    obs::Span round_span(config_.obs.trace, "serve:round", "serve");
-    if (config_.obs.trace) round_span.arg("round", std::to_string(round));
-
-    campaign::RoundPlan plan =
-        campaign::plan_round(store_, config_.campaign, round);
-    std::vector<campaign::ShardResult> results;
-    if (!execute_round_sharded(round, plan, &results)) return report_;
-
-    std::vector<campaign::CaseOutcome> outcomes;
     std::size_t missing = 0;
-    if (!campaign::merge_shard_outcomes(results, plan.cases.size(), &outcomes,
+    if (!campaign::merge_shard_outcomes(execute_round_sharded(round, plan),
+                                        plan.cases.size(), &executed->outcomes,
                                         &missing)) {
-      report_.error = "shard merge hole: planned case " +
-                      std::to_string(missing) +
-                      " of round " + std::to_string(round) +
-                      " was executed by no shard";
-      return report_;
+      *error = "shard merge hole: planned case " + std::to_string(missing) +
+               " of round " + std::to_string(round) +
+               " was executed by no shard";
+      return false;
     }
-
-    campaign::RoundReport rr = campaign::integrate_round(
-        store_, config_.campaign, round, plan.cases, outcomes, chain_, &memo_,
-        &verdicts_);
-    rr.replayed = plan.replayed;
-    campaign::emit_round_metrics(config_.campaign.obs, rr, store_);
+    return true;
+  };
+  loop.keep_going = [this] { return !drain_requested(); };
+  loop.after_commit = [this](const campaign::RoundReport& rr) {
     if (sobs_.rounds) sobs_.rounds->add();
     cum_cases_ += rr.cases;
     cum_novel_ += rr.novel;
     cum_duplicate_ += rr.duplicate;
-
-    if (!store_.commit_round(round)) {
-      report_.error = store_.error();
-      return report_;
-    }
     ++report_.rounds_run;
-    flight_.record("round_commit", round, FlightEvent::kNone,
+    flight_.record("round_commit", rr.round, FlightEvent::kNone,
                    "cases=" + std::to_string(rr.cases) +
                        " novel=" + std::to_string(rr.novel) +
                        " findings=" + std::to_string(store_.findings.size()) +
                        " corpus=" + std::to_string(store_.entries.size()));
-
     // The committed checkpoint supersedes this round's shard results; a
     // leftover would be rejected next round anyway (header round), removing
     // them just keeps the state dir from accreting.
     std::error_code ec;
     for (std::size_t k = 0; k < shards(); ++k) {
       std::filesystem::remove(
-          campaign::shard_result_path(config_.campaign.state_dir, round, k),
+          campaign::shard_result_path(config_.campaign.state_dir, rr.round, k),
           ec);
     }
-
     pump(0);  // keep the control plane fresh between rounds
+  };
+  loop.trace = config_.obs.trace;
+  loop.span_name = "serve:round";
+  loop.span_cat = "serve";
+  loop.chain = &chain_;
+  loop.memo = &memo_;
+  loop.verdicts = &verdicts_;
+  const campaign::CampaignReport rounds =
+      campaign::run_rounds(store_, config_.campaign, loop);
+  if (!rounds.error.empty()) {
+    report_.error = rounds.error;
+    return report_;
   }
 
   if (drain_requested()) {
     report_.drained = true;
-    if (!drain_recorded_) {
-      drain_recorded_ = true;
-      flight_.record("drain", store_.rounds_completed);
-    }
+    flight_.record("drain", store_.rounds_completed);
   }
-  report_.total_findings = store_.findings.size();
-  report_.corpus_entries = store_.entries.size();
+  report_.total_findings = rounds.total_findings;
+  report_.corpus_entries = rounds.corpus_entries;
 
   // Flush the control plane before exiting: the stop/status response that
   // *triggered* a drain may still be queued on its connection, and tearing

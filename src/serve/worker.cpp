@@ -12,8 +12,6 @@
 #include "campaign/shard.h"
 #include "campaign/store.h"
 #include "net/chain.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace hdiff::serve {
 
@@ -88,53 +86,12 @@ int run_worker(
     return kWorkerStale;
   }
 
-  campaign::RoundPlan plan =
+  const campaign::RoundPlan plan =
       campaign::plan_round(store, options.config, options.round);
-  const std::vector<std::size_t> mine =
-      campaign::shard_indices(plan.cases, options.shard, options.shards);
-
-  // Worker-local observability: instruments live in this process and cross
-  // back to the supervisor only inside the durable shard result, so the
-  // counts the fleet registry absorbs are exactly the counts that produced
-  // the published outcomes.
-  obs::Registry registry;
-  obs::TraceSink sink;
-  campaign::CampaignConfig config = options.config;
-  if (options.export_metrics) config.obs.metrics = &registry;
-  if (options.export_trace) config.obs.trace = &sink;
-
-  net::Chain chain = net::Chain::from_fleet(fleet);
-  core::ObservationMemo memo;
-  net::VerdictCache verdicts;
-  campaign::ExecutedRound executed;
-  {
-    obs::Span span(config.obs.trace, "worker:execute_round", "serve");
-    span.arg("shard", std::to_string(options.shard) + "/" +
-                          std::to_string(options.shards) + " round " +
-                          std::to_string(options.round));
-    executed = campaign::execute_round(config, chain, plan.cases, &memo,
-                                       &verdicts, &mine);
-  }
-
-  campaign::ShardResult result;
-  result.round = options.round;
-  result.shard = options.shard;
-  result.shards = options.shards;
-  result.config_sig = store.config_sig;
-  result.faulted_attempts = executed.stats.faulted_attempts;
-  result.retry_attempts = executed.stats.retry_attempts;
-  result.recovered_cases = executed.stats.recovered_cases;
-  result.quarantined_cases = executed.stats.quarantined_cases;
-  for (std::size_t index : mine) {
-    result.outcomes.emplace(index, executed.outcomes[index]);
-  }
-  // Snapshot after the executor has joined its workers (execute_round
-  // returns post-join), satisfying the registry/sink quiescence contract.
-  if (options.export_metrics) result.metrics = registry.snapshot();
-  if (options.export_trace) {
-    result.trace_pid = static_cast<std::uint32_t>(::getpid());
-    result.trace = sink.export_events();
-  }
+  const campaign::ShardResult result = campaign::execute_shard(
+      options.config, net::Chain::from_fleet(fleet), plan, options.round,
+      options.shard, options.shards, store.config_sig, options.export_metrics,
+      options.export_trace);
   if (!campaign::write_shard_result(options.config.state_dir, result)) {
     return kWorkerStateError;
   }

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -378,31 +379,73 @@ campaign::CampaignConfig small_campaign(const std::string& dir) {
 TEST(Supervisor, InProcessShardsMatchSingleProcessEngineByteForByte) {
   const auto fleet = impls::make_all_implementations();
 
-  const std::string ref_dir = fresh_dir("sup-ref");
-  campaign::CampaignEngine engine(small_campaign(ref_dir));
-  const campaign::CampaignReport ref = engine.run(fleet);
-  ASSERT_TRUE(ref.error.empty()) << ref.error;
+  for (const bool streams : {false, true}) {
+    SCOPED_TRACE(streams ? "streams" : "single requests");
+    const std::string ref_dir = fresh_dir("sup-ref");
+    campaign::CampaignConfig ref_config = small_campaign(ref_dir);
+    ref_config.streams = streams;
+    campaign::CampaignEngine engine(ref_config);
+    const campaign::CampaignReport ref = engine.run(fleet);
+    ASSERT_TRUE(ref.error.empty()) << ref.error;
 
-  const std::string serve_dir = fresh_dir("sup-serve");
-  ServeConfig config;
-  config.campaign = small_campaign(serve_dir);
-  config.shards = 3;
-  // Empty worker binary = every shard executes inline in the supervisor —
-  // the pure merge/integrate path with no process management noise.
-  config.worker_binary.clear();
-  Supervisor supervisor(config, fleet);
-  EXPECT_GT(supervisor.port(), 0);
+    const std::string serve_dir = fresh_dir("sup-serve");
+    ServeConfig config;
+    config.campaign = small_campaign(serve_dir);
+    config.campaign.streams = streams;
+    config.shards = 3;
+    // Empty worker binary = every shard executes inline in the supervisor —
+    // the pure merge/integrate path with no process management noise.
+    config.worker_binary.clear();
+    Supervisor supervisor(config, fleet);
+    EXPECT_GT(supervisor.port(), 0);
+    const ServeReport report = supervisor.run();
+    ASSERT_TRUE(report.error.empty()) << report.error;
+    EXPECT_EQ(report.rounds_run, 2u);  // bootstrap + 1 mutation round
+    EXPECT_FALSE(report.drained);
+
+    const campaign::StateStore ref_store(ref_dir), serve_store(serve_dir);
+    EXPECT_EQ(slurp(ref_store.state_path()), slurp(serve_store.state_path()));
+    EXPECT_EQ(slurp(ref_store.findings_path()),
+              slurp(serve_store.findings_path()));
+    fs::remove_all(ref_dir);
+    fs::remove_all(serve_dir);
+  }
+}
+
+/// Every regular file under `dir`, keyed by relative path.
+std::map<std::string, std::string> snapshot_dir(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    files[fs::relative(entry.path(), dir).string()] =
+        slurp(entry.path().string());
+  }
+  return files;
+}
+
+TEST(Supervisor, ConfigSignatureMismatchLeavesStateDirByteIdentical) {
+  const auto fleet = impls::make_all_implementations();
+  const std::string dir = fresh_dir("sig");
+  {
+    ServeConfig config;
+    config.campaign = small_campaign(dir);
+    Supervisor supervisor(config, fleet);
+    ASSERT_TRUE(supervisor.run().error.empty());
+  }
+  const auto before = snapshot_dir(dir);
+  ASSERT_FALSE(before.empty());
+
+  ServeConfig other;
+  other.campaign = small_campaign(dir);
+  other.campaign.budget_per_round = 99;  // budget is part of the signature
+  other.campaign.rounds = 3;
+  Supervisor supervisor(other, fleet);
   const ServeReport report = supervisor.run();
-  ASSERT_TRUE(report.error.empty()) << report.error;
-  EXPECT_EQ(report.rounds_run, 2u);  // bootstrap + 1 mutation round
-  EXPECT_FALSE(report.drained);
-
-  const campaign::StateStore ref_store(ref_dir), serve_store(serve_dir);
-  EXPECT_EQ(slurp(ref_store.state_path()), slurp(serve_store.state_path()));
-  EXPECT_EQ(slurp(ref_store.findings_path()),
-            slurp(serve_store.findings_path()));
-  fs::remove_all(ref_dir);
-  fs::remove_all(serve_dir);
+  EXPECT_NE(report.error.find("config signature mismatch"), std::string::npos)
+      << report.error;
+  EXPECT_EQ(report.rounds_run, 0u);
+  EXPECT_EQ(snapshot_dir(dir), before);
+  fs::remove_all(dir);
 }
 
 TEST(Supervisor, CrashOnlyWorkerIsQuarantinedAndTheRoundStillCompletes) {

@@ -92,6 +92,7 @@
 //                                      under IMPL's model and show HMetrics
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -232,6 +233,14 @@ std::vector<std::string_view> doc_args(int argc, char** argv, int from) {
   std::vector<std::string_view> docs;
   for (int i = from; i < argc; ++i) docs.emplace_back(argv[i]);
   return docs;
+}
+
+/// Whole-file read; empty when the file is missing.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 bool write_file(const std::string& path, std::string_view content) {
@@ -1336,55 +1345,118 @@ void print_campaign_report(const hdiff::campaign::CampaignReport& report) {
   }
 }
 
-int cmd_campaign(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const std::string_view sub = argv[2];
-  std::string state_dir, json_path;
+// ---- campaign flags: one parser for campaign, serve and serve-worker -----
+
+/// Strict unsigned flag value: digits only, no sign, no trailing bytes, and
+/// nonzero unless `allow_zero` (index flags like --shard/--round).  Prints
+/// the complaint and returns false otherwise.
+bool parse_count(const char* flag, const char* text, bool allow_zero,
+                 std::size_t* out) {
+  const char* end = text + std::strlen(text);
+  std::size_t n = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, n);
+  if (ec != std::errc{} || ptr != end || (n == 0 && !allow_zero)) {
+    std::fprintf(stderr, "%s wants a %s integer, got %s\n", flag,
+                 allow_zero ? "non-negative" : "positive", text);
+    return false;
+  }
+  *out = n;
+  return true;
+}
+
+/// The campaign flags: --mini --no-minimize --no-coverage --streams
+/// --state-dir --rounds --budget --jobs.
+struct CampaignFlags {
   hdiff::campaign::CampaignConfig config;
   bool mini = false;
   bool no_coverage = false;
+};
+
+enum class FlagParse { kTaken, kOther, kInvalid };
+
+/// Consume argv[*i] (and its value) when it is a campaign flag.  kInvalid
+/// means a bad value, already reported: exit 2 before touching any state.
+FlagParse parse_campaign_flag(int argc, char** argv, int* i,
+                              CampaignFlags* flags) {
+  hdiff::campaign::CampaignConfig& config = flags->config;
+  const char* flag = argv[*i];
+  const bool has_value = *i + 1 < argc;
+  const auto count = [&](std::size_t* out) {
+    return parse_count(flag, argv[++*i], false, out) ? FlagParse::kTaken
+                                                     : FlagParse::kInvalid;
+  };
+  if (std::strcmp(flag, "--mini") == 0) {
+    flags->mini = true;
+  } else if (std::strcmp(flag, "--no-minimize") == 0) {
+    config.minimize_new = false;
+  } else if (std::strcmp(flag, "--no-coverage") == 0) {
+    flags->no_coverage = true;
+  } else if (std::strcmp(flag, "--streams") == 0) {
+    config.streams = true;
+  } else if (std::strcmp(flag, "--state-dir") == 0 && has_value) {
+    config.state_dir = argv[++*i];
+  } else if (std::strcmp(flag, "--rounds") == 0 && has_value) {
+    return count(&config.rounds);
+  } else if (std::strcmp(flag, "--budget") == 0 && has_value) {
+    return count(&config.budget_per_round);
+  } else if (std::strcmp(flag, "--jobs") == 0 && has_value) {
+    return count(&config.executor.jobs);
+  } else {
+    return FlagParse::kOther;
+  }
+  return FlagParse::kTaken;
+}
+
+/// The campaign config the flags describe: round 0 runs the probe corpus
+/// under --mini, else the one-shot corpus.  `with_coverage` adopts the
+/// static coverage plan unless --no-coverage; serve workers pass false,
+/// because they plan from the plan the checkpoint already adopted.  The
+/// plan is excluded from the config signature, so a pre-coverage state dir
+/// resumes cleanly.
+hdiff::campaign::CampaignConfig campaign_config(const CampaignFlags& flags,
+                                                bool with_coverage) {
+  hdiff::campaign::CampaignConfig config = flags.config;
+  config.bootstrap =
+      flags.mini ? hdiff::core::verification_probes() : one_shot_corpus();
+  if (with_coverage && !flags.no_coverage) {
+    config.coverage = campaign_coverage_plan(!flags.mini);
+  }
+  return config;
+}
+
+/// The flags a serve worker needs to rebuild the supervisor's campaign
+/// config; the worker revalidates the result against the config signature.
+std::vector<std::string> worker_campaign_args(const CampaignFlags& flags) {
+  std::vector<std::string> args;
+  if (flags.mini) args.push_back("--mini");
+  if (!flags.config.minimize_new) args.push_back("--no-minimize");
+  if (flags.config.streams) args.push_back("--streams");
+  args.push_back("--budget");
+  args.push_back(std::to_string(flags.config.budget_per_round));
+  if (flags.config.executor.jobs != 0) {
+    args.push_back("--jobs");
+    args.push_back(std::to_string(flags.config.executor.jobs));
+  }
+  return args;
+}
+
+int cmd_campaign(int argc, char** argv) {
+  if (argc < 3) return usage();
+  const std::string_view sub = argv[2];
+  std::string json_path;
+  CampaignFlags flags;
   for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--mini") == 0) {
-      mini = true;
-    } else if (std::strcmp(argv[i], "--no-minimize") == 0) {
-      config.minimize_new = false;
-    } else if (std::strcmp(argv[i], "--no-coverage") == 0) {
-      no_coverage = true;
-    } else if (std::strcmp(argv[i], "--streams") == 0) {
-      config.streams = true;
-    } else if (std::strcmp(argv[i], "--state-dir") == 0 && i + 1 < argc) {
-      state_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    const FlagParse parsed = parse_campaign_flag(argc, argv, &i, &flags);
+    if (parsed == FlagParse::kInvalid) return 2;
+    if (parsed == FlagParse::kTaken) continue;
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
-      const long n = std::atol(argv[++i]);
-      if (n < 1) {
-        std::fprintf(stderr, "--rounds wants a positive integer, got %s\n",
-                     argv[i]);
-        return 2;
-      }
-      config.rounds = static_cast<std::size_t>(n);
-    } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      const long n = std::atol(argv[++i]);
-      if (n < 1) {
-        std::fprintf(stderr, "--budget wants a positive integer, got %s\n",
-                     argv[i]);
-        return 2;
-      }
-      config.budget_per_round = static_cast<std::size_t>(n);
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      const long n = std::atol(argv[++i]);
-      if (n < 1) {
-        std::fprintf(stderr, "--jobs wants a positive integer, got %s\n",
-                     argv[i]);
-        return 2;
-      }
-      config.executor.jobs = static_cast<std::size_t>(n);
     } else {
       std::fprintf(stderr, "unknown campaign option %s\n", argv[i]);
       return 2;
     }
   }
+  const std::string& state_dir = flags.config.state_dir;
   if (state_dir.empty()) {
     std::fprintf(stderr, "campaign %s requires --state-dir DIR\n",
                  std::string(sub).c_str());
@@ -1429,13 +1501,7 @@ int cmd_campaign(int argc, char** argv) {
     return 1;
   }
 
-  config.state_dir = state_dir;
-  config.bootstrap =
-      mini ? hdiff::core::verification_probes() : one_shot_corpus();
-  // Coverage plan excluded from the config signature: a pre-coverage state
-  // dir resumes cleanly (its checkpoint simply has no plan to honor).
-  if (!no_coverage) config.coverage = campaign_coverage_plan(!mini);
-  hdiff::campaign::CampaignEngine engine(std::move(config));
+  hdiff::campaign::CampaignEngine engine(campaign_config(flags, true));
   auto report = engine.run(fleet);
   if (!report.error.empty()) {
     std::fprintf(stderr, "%s\n", report.error.c_str());
@@ -1448,6 +1514,23 @@ int cmd_campaign(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+/// Selftest byte-identity check: 0 when `got_dir`'s checkpoint and findings
+/// equal `ref_dir`'s, else 1 with a complaint saying `what` differs.
+int compare_state_dirs(const std::string& ref_dir, const std::string& got_dir,
+                       const char* what) {
+  const hdiff::campaign::StateStore ref(ref_dir), got(got_dir);
+  int rc = 0;
+  if (read_file(ref.state_path()) != read_file(got.state_path())) {
+    std::printf("selftest FAILED: campaign.state differs %s\n", what);
+    rc = 1;
+  }
+  if (read_file(ref.findings_path()) != read_file(got.findings_path())) {
+    std::printf("selftest FAILED: findings.jsonl differs %s\n", what);
+    rc = 1;
+  }
+  return rc;
 }
 
 /// `selftest --campaign`: the acceptance proof for the campaign engine.
@@ -1481,12 +1564,6 @@ int selftest_campaign(std::size_t jobs) {
     // schedule too.
     config.coverage = campaign_coverage_plan(false);
     return config;
-  };
-  auto read_bytes = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
   };
 
   auto fleet = hdiff::impls::make_all_implementations();
@@ -1575,18 +1652,9 @@ int selftest_campaign(std::size_t jobs) {
     return 1;
   }
 
-  const camp::StateStore res_store(base_config("resumed").state_dir);
-  int rc = 0;
-  if (read_bytes(ref_store.state_path()) !=
-      read_bytes(res_store.state_path())) {
-    std::printf("selftest FAILED: campaign.state differs after resume\n");
-    rc = 1;
-  }
-  if (read_bytes(ref_store.findings_path()) !=
-      read_bytes(res_store.findings_path())) {
-    std::printf("selftest FAILED: findings.jsonl differs after resume\n");
-    rc = 1;
-  }
+  const int rc =
+      compare_state_dirs(base_config("uninterrupted").state_dir,
+                         base_config("resumed").state_dir, "after resume");
   if (rc == 0) {
     std::printf(
         "selftest PASSED: resumed state and findings byte-identical to the "
@@ -1631,12 +1699,6 @@ int selftest_stream(std::size_t jobs) {
     config.coverage = campaign_coverage_plan(false);
     config.streams = true;
     return config;
-  };
-  auto read_bytes = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
   };
 
   auto fleet = hdiff::impls::make_all_implementations();
@@ -1701,19 +1763,12 @@ int selftest_stream(std::size_t jobs) {
     std::printf("selftest FAILED: %s\n", wide_report.error.c_str());
     return 1;
   }
-  const camp::StateStore wide_store(base_config("jobsN", wide).state_dir);
-  int rc = 0;
-  if (read_bytes(ref_store.state_path()) !=
-      read_bytes(wide_store.state_path())) {
-    std::printf("selftest FAILED: campaign.state differs across --jobs\n");
-    rc = 1;
+  const std::string ref_dir = base_config("jobs1", 1).state_dir;
+  if (int rc = compare_state_dirs(ref_dir, base_config("jobsN", wide).state_dir,
+                                  "across --jobs");
+      rc != 0) {
+    return rc;
   }
-  if (read_bytes(ref_store.findings_path()) !=
-      read_bytes(wide_store.findings_path())) {
-    std::printf("selftest FAILED: findings.jsonl differs across --jobs\n");
-    rc = 1;
-  }
-  if (rc != 0) return rc;
   std::printf("parallelism check: state and findings byte-identical at "
               "--jobs 1 and --jobs %zu\n",
               wide);
@@ -1738,17 +1793,8 @@ int selftest_stream(std::size_t jobs) {
                 resume_report.error.c_str());
     return 1;
   }
-  const camp::StateStore res_store(base_config("resumed", 1).state_dir);
-  if (read_bytes(ref_store.state_path()) !=
-      read_bytes(res_store.state_path())) {
-    std::printf("selftest FAILED: campaign.state differs after resume\n");
-    rc = 1;
-  }
-  if (read_bytes(ref_store.findings_path()) !=
-      read_bytes(res_store.findings_path())) {
-    std::printf("selftest FAILED: findings.jsonl differs after resume\n");
-    rc = 1;
-  }
+  const int rc = compare_state_dirs(
+      ref_dir, base_config("resumed", 1).state_dir, "after resume");
   if (rc == 0) {
     std::printf(
         "selftest PASSED: %zu stream detector class(es) filed; state and "
@@ -1785,29 +1831,19 @@ int cmd_serve_worker(int argc, char** argv) {
   // not kill the worker mid-shard (the result file is still useful).
   std::signal(SIGPIPE, SIG_IGN);
   hdiff::serve::WorkerOptions options;
-  bool mini = false;
+  CampaignFlags flags;
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--mini") == 0) {
-      mini = true;
-    } else if (std::strcmp(argv[i], "--no-minimize") == 0) {
-      options.config.minimize_new = false;
-    } else if (std::strcmp(argv[i], "--streams") == 0) {
-      options.config.streams = true;
-    } else if (std::strcmp(argv[i], "--state-dir") == 0 && i + 1 < argc) {
-      options.config.state_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      options.config.budget_per_round =
-          static_cast<std::size_t>(std::max(1L, std::atol(argv[++i])));
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      options.config.executor.jobs =
-          static_cast<std::size_t>(std::max(1L, std::atol(argv[++i])));
-    } else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
-      options.shard = static_cast<std::size_t>(std::atol(argv[++i]));
+    const FlagParse parsed = parse_campaign_flag(argc, argv, &i, &flags);
+    if (parsed == FlagParse::kInvalid) return 2;
+    if (parsed == FlagParse::kTaken) continue;
+    if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
+      if (!parse_count("--shard", argv[++i], true, &options.shard)) return 2;
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      options.shards =
-          static_cast<std::size_t>(std::max(1L, std::atol(argv[++i])));
+      if (!parse_count("--shards", argv[++i], false, &options.shards)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--round") == 0 && i + 1 < argc) {
-      options.round = static_cast<std::size_t>(std::atol(argv[++i]));
+      if (!parse_count("--round", argv[++i], true, &options.round)) return 2;
     } else if (std::strcmp(argv[i], "--heartbeat-ms") == 0 && i + 1 < argc) {
       options.heartbeat_interval_ms = std::max(1, std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--heartbeat-fd") == 0 && i + 1 < argc) {
@@ -1821,12 +1857,11 @@ int cmd_serve_worker(int argc, char** argv) {
       return 2;
     }
   }
-  if (options.config.state_dir.empty()) {
+  if (flags.config.state_dir.empty()) {
     std::fprintf(stderr, "serve-worker requires --state-dir DIR\n");
     return 2;
   }
-  options.config.bootstrap =
-      mini ? hdiff::core::verification_probes() : one_shot_corpus();
+  options.config = campaign_config(flags, false);
   auto fleet = hdiff::impls::make_all_implementations();
   return hdiff::serve::run_worker(options, fleet);
 }
@@ -1842,36 +1877,20 @@ bool parse_round_shard(const char* spec, std::size_t* round,
 
 int cmd_serve(int argc, char** argv) {
   hdiff::serve::ServeConfig config;
-  bool mini = false;
+  CampaignFlags flags;
   bool in_process = false;
-  bool no_coverage = false;
   std::string port_file;
   std::string metrics_out, trace_out;
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--mini") == 0) {
-      mini = true;
-    } else if (std::strcmp(argv[i], "--no-minimize") == 0) {
-      config.campaign.minimize_new = false;
-    } else if (std::strcmp(argv[i], "--no-coverage") == 0) {
-      no_coverage = true;
-    } else if (std::strcmp(argv[i], "--streams") == 0) {
-      config.campaign.streams = true;
-    } else if (std::strcmp(argv[i], "--in-process") == 0) {
+    const FlagParse parsed = parse_campaign_flag(argc, argv, &i, &flags);
+    if (parsed == FlagParse::kInvalid) return 2;
+    if (parsed == FlagParse::kTaken) continue;
+    if (std::strcmp(argv[i], "--in-process") == 0) {
       in_process = true;  // inline execution, no child processes
-    } else if (std::strcmp(argv[i], "--state-dir") == 0 && i + 1 < argc) {
-      config.campaign.state_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
-      config.campaign.rounds =
-          static_cast<std::size_t>(std::max(1L, std::atol(argv[++i])));
-    } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      config.campaign.budget_per_round =
-          static_cast<std::size_t>(std::max(1L, std::atol(argv[++i])));
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      config.campaign.executor.jobs =
-          static_cast<std::size_t>(std::max(1L, std::atol(argv[++i])));
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      config.shards =
-          static_cast<std::size_t>(std::max(1L, std::atol(argv[++i])));
+      if (!parse_count("--shards", argv[++i], false, &config.shards)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
       config.port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc) {
@@ -1907,31 +1926,15 @@ int cmd_serve(int argc, char** argv) {
       return 2;
     }
   }
-  if (config.campaign.state_dir.empty()) {
+  if (flags.config.state_dir.empty()) {
     std::fprintf(stderr, "serve requires --state-dir DIR\n");
     return 2;
   }
-  config.campaign.bootstrap =
-      mini ? hdiff::core::verification_probes() : one_shot_corpus();
   // Workers plan from the committed checkpoint, which carries the adopted
-  // plan — no worker flag needed (and none exists, by design).
-  if (!no_coverage) config.campaign.coverage = campaign_coverage_plan(!mini);
+  // coverage plan — no worker flag needed (and none exists, by design).
+  config.campaign = campaign_config(flags, true);
   if (!in_process) config.worker_binary = self_exe_path();
-  // Workers rebuild the campaign config from these flags; the config
-  // signature check catches any drift.
-  if (mini) config.worker_args.push_back("--mini");
-  if (!config.campaign.minimize_new) {
-    config.worker_args.push_back("--no-minimize");
-  }
-  if (config.campaign.streams) config.worker_args.push_back("--streams");
-  config.worker_args.push_back("--budget");
-  config.worker_args.push_back(
-      std::to_string(config.campaign.budget_per_round));
-  if (config.campaign.executor.jobs != 0) {
-    config.worker_args.push_back("--jobs");
-    config.worker_args.push_back(
-        std::to_string(config.campaign.executor.jobs));
-  }
+  config.worker_args = worker_campaign_args(flags);
 
   hdiff::obs::Registry registry;
   config.obs.metrics = &registry;
@@ -2193,26 +2196,6 @@ int selftest_serve(std::size_t jobs) {
     config.coverage = campaign_coverage_plan(false);
     return config;
   };
-  auto read_bytes = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-  };
-  auto compare_dirs = [&](const std::string& ref_dir,
-                          const std::string& got_dir, const char* what) {
-    const camp::StateStore ref(ref_dir), got(got_dir);
-    int rc = 0;
-    if (read_bytes(ref.state_path()) != read_bytes(got.state_path())) {
-      std::printf("selftest FAILED: %s campaign.state differs\n", what);
-      rc = 1;
-    }
-    if (read_bytes(ref.findings_path()) != read_bytes(got.findings_path())) {
-      std::printf("selftest FAILED: %s findings.jsonl differs\n", what);
-      rc = 1;
-    }
-    return rc;
-  };
 
   auto fleet = hdiff::impls::make_all_implementations();
   const std::string self = self_exe_path();
@@ -2277,8 +2260,9 @@ int selftest_serve(std::size_t jobs) {
         "hang, >=3 restarts)\n");
     return 1;
   }
-  if (int rc = compare_dirs(base_config("reference", 2).state_dir,
-                            serve_config.campaign.state_dir, "chaos");
+  if (int rc = compare_state_dirs(base_config("reference", 2).state_dir,
+                                  serve_config.campaign.state_dir,
+                                  "under chaos");
       rc != 0) {
     return rc;
   }
@@ -2505,8 +2489,9 @@ int selftest_serve(std::size_t jobs) {
     std::printf("selftest FAILED: %s\n", fault.what());
     return 1;
   }
-  if (int rc = compare_dirs(base_config("drain-reference", 4).state_dir,
-                            drain_config.campaign.state_dir, "drain+resume");
+  if (int rc = compare_state_dirs(base_config("drain-reference", 4).state_dir,
+                                  drain_config.campaign.state_dir,
+                                  "after drain+resume");
       rc != 0) {
     return rc;
   }
