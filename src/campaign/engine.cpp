@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -135,6 +136,91 @@ stream_variants_by_kind(const stream::RequestStream& s) {
     grouped[kind].push_back(std::move(mutant));
   }
   return grouped;
+}
+
+/// Arm shapes of one corpus entry, in all_mutation_kinds() order.  Under
+/// weighted coverage each shape also carries the productions its variants
+/// touch.  The variants are freed on return, so a cold index never holds
+/// more than one entry's mutants.
+std::vector<ArmShape> arm_shapes(const StateStore& store,
+                                 const http::RequestSpec& spec) {
+  const bool weighted = store.coverage_enabled() && store.coverage_weighting;
+  const auto grouped = variants_by_kind(spec, weighted);
+  std::vector<ArmShape> row;
+  for (core::MutationKind kind : core::all_mutation_kinds()) {
+    const auto it = grouped.find(std::string(to_string(kind)));
+    if (it == grouped.end() || it->second.empty()) continue;
+    ArmShape shape{it->first, it->second.size(), {}};
+    if (weighted) {
+      std::set<std::size_t> ids;
+      for (const core::Mutant& m : it->second) {
+        for (std::size_t id : cov_ids_of(store.coverage, m)) ids.insert(id);
+      }
+      shape.cov_ids.assign(ids.begin(), ids.end());
+    }
+    row.push_back(std::move(shape));
+  }
+  return row;
+}
+
+/// Arm shapes of one stream entry, in all_stream_mutation_kinds() order.
+std::vector<ArmShape> stream_arm_shapes(const stream::RequestStream& s) {
+  const auto grouped = stream_variants_by_kind(s);
+  std::vector<ArmShape> row;
+  for (stream::StreamMutationKind kind : stream::all_stream_mutation_kinds()) {
+    const auto it = grouped.find(std::string(to_string(kind)));
+    if (it == grouped.end() || it->second.empty()) continue;
+    row.push_back({it->first, it->second.size(), {}});
+  }
+  return row;
+}
+
+/// Append index rows for the entries added since the last call.
+template <typename Entry, typename Shapes>
+void extend_rows(std::vector<std::vector<ArmShape>>& rows,
+                 const std::vector<Entry>& entries, Shapes shapes) {
+  while (rows.size() < entries.size()) {
+    rows.push_back(shapes(entries[rows.size()]));
+  }
+}
+
+/// Scheduler views of every indexed arm, in row order.  An arm with no
+/// stats reads as zero; reading never inserts one into `table`.
+std::vector<ArmView> arm_views(const ArmTable& table,
+                               const std::vector<std::vector<ArmShape>>& rows) {
+  std::vector<ArmView> views;
+  for (std::size_t e = 0; e < rows.size(); ++e) {
+    for (const ArmShape& shape : rows[e]) {
+      ArmView view;
+      view.capacity = shape.capacity;
+      const auto it = table.find({e, shape.kind});
+      if (it != table.end()) {
+        view.attempts = it->second.attempts;
+        view.novel = it->second.novel;
+      }
+      views.push_back(view);
+    }
+  }
+  return views;
+}
+
+/// Visit every arm with a nonzero budget `counts[a]` (flat, row order).
+/// `build(e)` regroups entry e's variants by kind, once and only when one
+/// of its arms got budget; `pick(e, kind, variants, count)` runs per arm.
+template <typename Build, typename Pick>
+void for_budgeted_arms(const std::vector<std::vector<ArmShape>>& rows,
+                       const std::vector<std::size_t>& counts, Build build,
+                       Pick pick) {
+  std::size_t a = 0;
+  for (std::size_t e = 0; e < rows.size(); ++e) {
+    std::optional<decltype(build(e))> grouped;
+    for (const ArmShape& shape : rows[e]) {
+      const std::size_t count = counts[a++];
+      if (count == 0) continue;
+      if (!grouped) grouped = build(e);
+      pick(e, shape.kind, grouped->at(shape.kind), count);
+    }
+  }
 }
 
 /// Canonical signature-set key used by the minimizer oracle ("does the
@@ -337,7 +423,9 @@ RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
     planned.push_back(std::move(pc));
   }
 
-  // Divergence-feedback schedule over (entry x kind) arms.
+  // Divergence-feedback schedule over (entry x kind) arms, weighed from the
+  // store's arm index.  Variants are rebuilt only for the entries whose
+  // arms get budget, and picked exactly as the cursor rotation dictates.
   const bool cov = store.coverage_enabled();
   // site_index: production id -> gap-site ids, via each site's attribution
   // cone (a Transfer-Encoding mutation reaches the transfer-coding sites).
@@ -349,39 +437,20 @@ RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
       }
     }
   }
-  struct ArmPlan {
-    std::size_t entry;
-    std::string kind;
-    std::vector<core::Mutant>* variants;
-  };
-  std::vector<ArmPlan> arm_plans;
-  std::vector<ArmView> views;
-  std::vector<std::map<std::string, std::vector<core::Mutant>>> grouped;
-  grouped.reserve(store.entries.size());
-  for (const auto& entry : store.entries) {
-    grouped.push_back(variants_by_kind(entry.spec, cov));
-  }
-  for (std::size_t e = 0; e < store.entries.size(); ++e) {
-    for (core::MutationKind kind : core::all_mutation_kinds()) {
-      const std::string kind_name(to_string(kind));
-      auto it = grouped[e].find(kind_name);
-      if (it == grouped[e].end() || it->second.empty()) continue;
-      const ArmStats& stats = store.arms[{e, kind_name}];
-      ArmView view;
-      view.attempts = stats.attempts;
-      view.novel = stats.novel;
-      view.capacity = it->second.size();
-      if (cov && store.coverage_weighting) {
-        // Static-analysis bias: productions this arm would touch that are
-        // still uncovered, and unhit gap sites among those productions.
-        std::set<std::size_t> touchable;
-        for (const core::Mutant& m : it->second) {
-          for (std::size_t id : cov_ids_of(store.coverage, m)) {
-            touchable.insert(id);
-          }
-        }
+  auto& rows = store.arm_index.entries;
+  extend_rows(rows, store.entries, [&](const CorpusEntry& entry) {
+    return arm_shapes(store, entry.spec);
+  });
+  std::vector<ArmView> views = arm_views(store.arms, rows);
+  if (cov && store.coverage_weighting) {
+    // Static-analysis bias: productions this arm would touch that are still
+    // uncovered, and unhit gap sites among those productions.
+    std::size_t a = 0;
+    for (const auto& row : rows) {
+      for (const ArmShape& shape : row) {
+        ArmView& view = views[a++];
         std::set<std::size_t> unhit_sites;
-        for (std::size_t id : touchable) {
+        for (std::size_t id : shape.cov_ids) {
           if (store.covered.count(id) == 0) ++view.uncovered;
           const auto sites = site_index.find(id);
           if (sites == site_index.end()) continue;
@@ -393,40 +462,39 @@ RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
         }
         view.gap_hits = unhit_sites.size();
       }
-      views.push_back(view);
-      arm_plans.push_back({e, kind_name, &it->second});
     }
   }
-  const std::vector<std::size_t> counts =
-      allocate_budget(config.budget_per_round, views);
-  for (std::size_t a = 0; a < arm_plans.size(); ++a) {
-    if (counts[a] == 0) continue;
-    ArmStats& stats = store.arms[{arm_plans[a].entry, arm_plans[a].kind}];
-    const auto& variants = *arm_plans[a].variants;
-    for (std::size_t j = 0; j < counts[a]; ++j) {
-      const core::Mutant& mutant =
-          variants[(stats.cursor + j) % variants.size()];
-      PlannedCase pc;
-      pc.tc.uuid = "camp-r" + std::to_string(round) + "-" +
-                   std::to_string(planned.size());
-      pc.tc.raw = mutant.spec.to_wire();
-      pc.tc.description = mutant.applied.front().describe();
-      pc.tc.origin = core::TestOrigin::kMutation;
-      pc.provenance = mutant_provenance(
-          store.entries[arm_plans[a].entry].hash, arm_plans[a].kind);
-      pc.arm_entry = arm_plans[a].entry;
-      pc.arm_kind = arm_plans[a].kind;
-      pc.spec = mutant.spec;
-      pc.spec_text = serialize_spec(mutant.spec);
-      if (cov) {
-        pc.cov_ids = cov_ids_of(store.coverage, mutant);
-        pc.gap_ids =
-            gap_ids_of(store.coverage, site_index, pc.cov_ids, mutant);
-      }
-      planned.push_back(std::move(pc));
-    }
-    stats.cursor += counts[a];
-  }
+  for_budgeted_arms(
+      rows, allocate_budget(config.budget_per_round, views),
+      [&](std::size_t e) {
+        return variants_by_kind(store.entries[e].spec, cov);
+      },
+      [&](std::size_t e, const std::string& kind,
+          const std::vector<core::Mutant>& variants, std::size_t count) {
+        ArmStats& stats = store.arms[{e, kind}];
+        for (std::size_t j = 0; j < count; ++j) {
+          const core::Mutant& mutant =
+              variants[(stats.cursor + j) % variants.size()];
+          PlannedCase pc;
+          pc.tc.uuid = "camp-r" + std::to_string(round) + "-" +
+                       std::to_string(planned.size());
+          pc.tc.raw = mutant.spec.to_wire();
+          pc.tc.description = mutant.applied.front().describe();
+          pc.tc.origin = core::TestOrigin::kMutation;
+          pc.provenance = mutant_provenance(store.entries[e].hash, kind);
+          pc.arm_entry = e;
+          pc.arm_kind = kind;
+          pc.spec = mutant.spec;
+          pc.spec_text = serialize_spec(mutant.spec);
+          if (cov) {
+            pc.cov_ids = cov_ids_of(store.coverage, mutant);
+            pc.gap_ids =
+                gap_ids_of(store.coverage, site_index, pc.cov_ids, mutant);
+          }
+          planned.push_back(std::move(pc));
+        }
+        stats.cursor += count;
+      });
 
   // ---- stream shapes (src/stream) ------------------------------------------
   if (config.streams && !store.stream_entries.empty()) {
@@ -451,63 +519,42 @@ RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
     }
     // Divergence-feedback schedule over (stream entry x stream kind) arms,
     // using the same deterministic apportionment as the single-request
-    // budget but over its own arm table and its own budget.
-    struct StreamArmPlan {
-      std::size_t entry;
-      std::string kind;
-      std::vector<stream::StreamMutant>* variants;
-    };
-    std::vector<StreamArmPlan> sarm_plans;
-    std::vector<ArmView> sviews;
-    std::vector<std::map<std::string, std::vector<stream::StreamMutant>>>
-        svariants;
-    svariants.reserve(store.stream_entries.size());
-    for (const auto& entry : store.stream_entries) {
-      svariants.push_back(stream_variants_by_kind(entry.stream));
-    }
-    for (std::size_t e = 0; e < store.stream_entries.size(); ++e) {
-      for (stream::StreamMutationKind kind :
-           stream::all_stream_mutation_kinds()) {
-        const std::string kind_name(to_string(kind));
-        auto it = svariants[e].find(kind_name);
-        if (it == svariants[e].end() || it->second.empty()) continue;
-        const ArmStats& sstats = store.stream_arms[{e, kind_name}];
-        ArmView view;
-        view.attempts = sstats.attempts;
-        view.novel = sstats.novel;
-        view.capacity = it->second.size();
-        sviews.push_back(view);
-        sarm_plans.push_back({e, kind_name, &it->second});
-      }
-    }
-    const std::vector<std::size_t> scounts =
-        allocate_budget(config.stream_budget_per_round, sviews);
-    for (std::size_t a = 0; a < sarm_plans.size(); ++a) {
-      if (scounts[a] == 0) continue;
-      ArmStats& sstats =
-          store.stream_arms[{sarm_plans[a].entry, sarm_plans[a].kind}];
-      const auto& variants = *sarm_plans[a].variants;
-      for (std::size_t j = 0; j < scounts[a]; ++j) {
-        const stream::StreamMutant& mutant =
-            variants[(sstats.cursor + j) % variants.size()];
-        PlannedCase pc;
-        pc.tc.uuid = "camp-r" + std::to_string(round) + "-" +
-                     std::to_string(planned.size());
-        pc.tc.raw = mutant.stream.to_wire();
-        pc.tc.description = mutant.applied.describe();
-        pc.tc.origin = core::TestOrigin::kMutation;
-        pc.provenance = stream_mutant_provenance(
-            store.stream_entries[sarm_plans[a].entry].hash,
-            sarm_plans[a].kind);
-        pc.arm_entry = sarm_plans[a].entry;
-        pc.arm_kind = sarm_plans[a].kind;
-        pc.is_stream = true;
-        pc.stream = mutant.stream;
-        pc.spec_text = stream::serialize_stream(mutant.stream);
-        planned.push_back(std::move(pc));
-      }
-      sstats.cursor += scounts[a];
-    }
+    // budget but over its own arm table, index rows and budget.
+    auto& srows = store.arm_index.stream_entries;
+    extend_rows(srows, store.stream_entries, [](const StreamEntry& entry) {
+      return stream_arm_shapes(entry.stream);
+    });
+    for_budgeted_arms(
+        srows,
+        allocate_budget(config.stream_budget_per_round,
+                        arm_views(store.stream_arms, srows)),
+        [&](std::size_t e) {
+          return stream_variants_by_kind(store.stream_entries[e].stream);
+        },
+        [&](std::size_t e, const std::string& kind,
+            const std::vector<stream::StreamMutant>& variants,
+            std::size_t count) {
+          ArmStats& sstats = store.stream_arms[{e, kind}];
+          for (std::size_t j = 0; j < count; ++j) {
+            const stream::StreamMutant& mutant =
+                variants[(sstats.cursor + j) % variants.size()];
+            PlannedCase pc;
+            pc.tc.uuid = "camp-r" + std::to_string(round) + "-" +
+                         std::to_string(planned.size());
+            pc.tc.raw = mutant.stream.to_wire();
+            pc.tc.description = mutant.applied.describe();
+            pc.tc.origin = core::TestOrigin::kMutation;
+            pc.provenance =
+                stream_mutant_provenance(store.stream_entries[e].hash, kind);
+            pc.arm_entry = e;
+            pc.arm_kind = kind;
+            pc.is_stream = true;
+            pc.stream = mutant.stream;
+            pc.spec_text = stream::serialize_stream(mutant.stream);
+            planned.push_back(std::move(pc));
+          }
+          sstats.cursor += count;
+        });
   }
   return plan;
 }
@@ -519,6 +566,7 @@ void adopt_coverage(StateStore& store, const CampaignConfig& config) {
   if (store.coverage_enabled() || !config.coverage.enabled()) return;
   store.coverage = config.coverage;
   store.coverage_weighting = config.coverage_weighting;
+  store.arm_index.clear();  // rows carry coverage ids of the old plan
   store.covered = config.coverage.bootstrap_covered;
   store.gap_hits.clear();
 }

@@ -204,7 +204,7 @@ std::size_t StateStore::add_entry(CorpusEntry entry) {
       if (entries[i].hash == entry.hash) return i;
     }
   }
-  write_corpus_file(entry);
+  if (!write_corpus_file(entry) && write_error_.empty()) write_error_ = error_;
   entry_hashes_.insert(entry.hash);
   entries.push_back(std::move(entry));
   return entries.size() - 1;
@@ -229,7 +229,9 @@ std::size_t StateStore::add_stream_entry(StreamEntry entry) {
       if (stream_entries[i].hash == entry.hash) return i;
     }
   }
-  write_stream_corpus_file(entry);
+  if (!write_stream_corpus_file(entry) && write_error_.empty()) {
+    write_error_ = error_;
+  }
   stream_entry_hashes_.insert(entry.hash);
   stream_entries.push_back(std::move(entry));
   return stream_entries.size() - 1;
@@ -318,6 +320,8 @@ std::string StateStore::render_state() const {
 }
 
 bool StateStore::parse_state(std::string_view text) {
+  write_error_.clear();
+  arm_index.clear();
   entries.clear();
   arms.clear();
   stream_entries.clear();
@@ -525,6 +529,10 @@ bool StateStore::load_readonly() {
 }
 
 bool StateStore::commit_round(std::size_t round) {
+  if (!write_error_.empty()) {
+    error_ = write_error_;
+    return false;
+  }
   rounds_completed = round + 1;
   if (!write_file_atomic_durable(state_path(), render_state())) {
     error_ = "cannot write " + state_path();

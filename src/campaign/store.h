@@ -109,6 +109,32 @@ struct ArmStats {
   std::size_t cursor = 0;    ///< next variant index (rotation)
 };
 
+/// Arm statistics keyed by (entry index, kind name).
+using ArmTable = std::map<std::pair<std::size_t, std::string>, ArmStats>;
+
+/// Scheduler shape of one arm, everything plan_round needs to weigh it
+/// without rebuilding its variants.
+struct ArmShape {
+  std::string kind;           ///< MutationKind / StreamMutationKind name
+  std::size_t capacity = 0;   ///< variants of this kind (> 0)
+  /// Sorted production ids the kind's variants touch; filled only when the
+  /// store has a coverage plan with weighting on (request arms only).
+  std::vector<std::size_t> cov_ids;
+};
+
+/// Arm shapes of every corpus entry, one row per entry (kinds with
+/// variants, in all_mutation_kinds() / all_stream_mutation_kinds() order),
+/// index-aligned with StateStore::entries and StateStore::stream_entries.
+/// A row is a pure function of the entry and the adopted coverage plan.
+struct ArmIndex {
+  std::vector<std::vector<ArmShape>> entries;
+  std::vector<std::vector<ArmShape>> stream_entries;
+  void clear() {
+    entries.clear();
+    stream_entries.clear();
+  }
+};
+
 // The line-based wire helpers (field encoding, spec serialization) moved
 // down to core/specwire.h so src/stream can use them without a dependency
 // cycle; the campaign names stay valid for every existing call site.
@@ -171,6 +197,7 @@ class StateStore {
 
   /// Append an entry (writes its corpus file immediately; idempotent).
   /// Returns the entry index, or the existing index for a duplicate hash.
+  /// A failed corpus write makes the next commit_round fail.
   std::size_t add_entry(CorpusEntry entry);
   bool has_entry(const std::string& hash) const;
 
@@ -188,19 +215,20 @@ class StateStore {
   }
 
   /// Atomically publish the state with `rounds_completed = round + 1`.
+  /// Fails, leaving the previous checkpoint, when a corpus write failed.
   bool commit_round(std::size_t round);
 
   // ---- checkpointed state (mutated by the engine between commits) ----
   std::string config_sig;
   std::size_t rounds_completed = 0;  ///< committed rounds (round 0 = first)
   std::vector<CorpusEntry> entries;
-  std::map<std::pair<std::size_t, std::string>, ArmStats> arms;
+  ArmTable arms;
   /// Stream corpus and its (stream entry x StreamMutationKind) arms.  Both
   /// serialize as their own checkpoint keys (sentry=/sarm=), so a campaign
   /// without streams renders a byte-identical checkpoint to one built
   /// before the stream subsystem existed.
   std::vector<StreamEntry> stream_entries;
-  std::map<std::pair<std::size_t, std::string>, ArmStats> stream_arms;
+  ArmTable stream_arms;
   std::vector<RetryEntry> retry_queue;
   std::vector<Finding> findings;
   /// Static coverage plan (DESIGN.md §14), serialized into the checkpoint
@@ -214,6 +242,13 @@ class StateStore {
   std::set<std::size_t> covered;                 ///< production ids exercised
   std::map<std::size_t, std::size_t> gap_hits;   ///< site id -> hit count
   bool coverage_enabled() const { return coverage.enabled(); }
+
+  // ---- derived state (never serialized) ----
+  /// Per-entry arm shapes.  plan_round extends it for entries appended
+  /// since its last call, so a store that lives across rounds mutates only
+  /// new entries; parse_state and adopt_coverage clear it because the rows
+  /// depend on the coverage plan.
+  ArmIndex arm_index;
 
   const std::string& state_dir() const { return dir_; }
   const std::string& error() const { return error_; }
@@ -234,6 +269,9 @@ class StateStore {
 
   std::string dir_;
   std::string error_;
+  /// First corpus-file write that failed since the last load.  Sticky:
+  /// commit_round refuses to publish a checkpoint naming a missing file.
+  std::string write_error_;
   int lock_fd_ = -1;
   std::set<std::string> entry_hashes_;
   std::set<std::string> stream_entry_hashes_;

@@ -20,6 +20,7 @@
 #include "campaign/store.h"
 #include "core/probes.h"
 #include "impls/products.h"
+#include "net/chain.h"
 #include "net/fault.h"
 
 namespace hdiff::campaign {
@@ -250,6 +251,96 @@ TEST_F(EngineTest, AdoptCoverageNeverOverwritesACheckpointPlan) {
   CampaignConfig plain;
   adopt_coverage(store, plain);
   EXPECT_TRUE(store.coverage_enabled());
+}
+
+void expect_same_cursors(const ArmTable& warm, const ArmTable& cold) {
+  ASSERT_EQ(warm.size(), cold.size());
+  for (const auto& [key, stats] : warm) {
+    const auto it = cold.find(key);
+    ASSERT_NE(it, cold.end()) << key.first << " " << key.second;
+    EXPECT_EQ(stats.cursor, it->second.cursor) << key.first << " "
+                                               << key.second;
+    // Reading an arm's weight never creates it: every stored arm has been
+    // scheduled or observed.
+    EXPECT_GT(stats.cursor + stats.attempts, 0u);
+  }
+}
+
+// The arm index plan_round keeps in a long-lived store is derived state:
+// every round it must plan exactly what a cold store loaded from the same
+// checkpoint plans (the serve-worker path), and leave the same cursors.
+void expect_warm_index_plans_like_cold(
+    const std::vector<std::unique_ptr<impls::HttpImplementation>>& fleet,
+    bool streams, bool weighting) {
+  const std::string dir = fresh_dir("plan-index");
+  CampaignConfig config = make_config(dir, 4, 1);
+  config.coverage = coverage_fixture();
+  config.coverage_weighting = weighting;
+  config.streams = streams;
+  // Enough budget that entries added mid-campaign get arms scheduled, so a
+  // stale warm index would change the plan.
+  config.budget_per_round = 64;
+  StateStore live(dir);
+  ASSERT_TRUE(open_campaign(live, config).error.empty()) << live.error();
+  const net::Chain chain = net::Chain::from_fleet(fleet);
+  core::ObservationMemo memo;
+  net::VerdictCache verdicts;
+  std::size_t seed_entries = 0;
+
+  for (std::size_t round = 0; round <= config.rounds; ++round) {
+    StateStore cold(dir);
+    ASSERT_TRUE(cold.load_readonly()) << cold.error();
+    adopt_coverage(cold, config);
+    if (round == 1) seed_entries = live.entries.size();
+    const RoundPlan want = plan_round(cold, config, round);
+    const RoundPlan got = plan_round(live, config, round);
+
+    EXPECT_EQ(got.replayed, want.replayed) << "round " << round;
+    ASSERT_EQ(got.cases.size(), want.cases.size()) << "round " << round;
+    for (std::size_t i = 0; i < got.cases.size(); ++i) {
+      const PlannedCase& g = got.cases[i];
+      const PlannedCase& w = want.cases[i];
+      SCOPED_TRACE("round " + std::to_string(round) + " case " +
+                   std::to_string(i));
+      EXPECT_EQ(g.tc.uuid, w.tc.uuid);
+      EXPECT_EQ(g.tc.raw, w.tc.raw);
+      EXPECT_EQ(g.provenance, w.provenance);
+      EXPECT_EQ(g.arm_entry, w.arm_entry);
+      EXPECT_EQ(g.arm_kind, w.arm_kind);
+      EXPECT_EQ(g.spec_text, w.spec_text);
+      EXPECT_EQ(g.cov_ids, w.cov_ids);
+      EXPECT_EQ(g.gap_ids, w.gap_ids);
+      EXPECT_EQ(g.is_stream, w.is_stream);
+    }
+    expect_same_cursors(live.arms, cold.arms);
+    expect_same_cursors(live.stream_arms, cold.stream_arms);
+
+    const ExecutedRound executed =
+        execute_round(config, chain, got.cases, &memo, &verdicts);
+    integrate_round(live, config, round, got.cases, executed.outcomes, chain,
+                    &memo, &verdicts);
+    ASSERT_TRUE(live.commit_round(round)) << live.error();
+  }
+  // The warm index must have been extended mid-campaign, not only built.
+  EXPECT_GT(live.entries.size(), seed_entries);
+  EXPECT_EQ(live.stream_arms.empty(), !streams);
+  fs::remove_all(dir);
+}
+
+TEST_F(EngineTest, WarmArmIndexPlansLikeAColdStore) {
+  expect_warm_index_plans_like_cold(fleet_, false, true);
+}
+
+TEST_F(EngineTest, WarmArmIndexPlansLikeAColdStoreUnweighted) {
+  expect_warm_index_plans_like_cold(fleet_, false, false);
+}
+
+TEST_F(EngineTest, WarmArmIndexPlansLikeAColdStoreWithStreams) {
+  expect_warm_index_plans_like_cold(fleet_, true, true);
+}
+
+TEST_F(EngineTest, WarmArmIndexPlansLikeAColdStoreWithStreamsUnweighted) {
+  expect_warm_index_plans_like_cold(fleet_, true, false);
 }
 
 TEST_F(EngineTest, EveryFingerprintIsReportedExactlyOnce) {

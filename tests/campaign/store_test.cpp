@@ -121,6 +121,48 @@ TEST(StoreTest, AddEntryIsIdempotentByHash) {
   EXPECT_TRUE(fs::exists(store.corpus_path(entry.hash)));
 }
 
+// A corpus write that fails (ENOSPC, EIO; here ENOTDIR, which root cannot
+// bypass the way it bypasses chmod) must keep every later checkpoint from
+// naming the missing file: the commit fails and the previous one stands.
+TEST(StoreTest, FailedCorpusWriteFailsTheNextCommit) {
+  for (const bool stream_entry : {false, true}) {
+    const std::string dir = fresh_dir(stream_entry ? "enotdir-s" : "enotdir");
+    StateStore store(dir);
+    ASSERT_TRUE(store.init("sig"));
+    const std::string committed = slurp(store.state_path());
+    fs::remove_all(dir + "/corpus");
+    { std::ofstream(dir + "/corpus") << "not a directory"; }
+
+    std::string path;
+    if (stream_entry) {
+      StreamEntry entry;
+      entry.stream = stream::default_stream_seeds().front().stream;
+      entry.hash = stream_content_address(entry.stream);
+      entry.provenance = "stream-seed:first";
+      store.add_stream_entry(entry);
+      path = store.stream_corpus_path(entry.hash);
+    } else {
+      CorpusEntry entry;
+      entry.spec = exotic_spec();
+      entry.hash = content_address(entry.spec);
+      entry.provenance = "seed:exotic";
+      store.add_entry(entry);
+      path = store.corpus_path(entry.hash);
+    }
+
+    EXPECT_FALSE(store.commit_round(0));
+    EXPECT_NE(store.error().find(path), std::string::npos) << store.error();
+    EXPECT_FALSE(store.commit_round(0)) << "the failure must stay sticky";
+    EXPECT_EQ(slurp(store.state_path()), committed);
+    StateStore loaded(dir);
+    ASSERT_TRUE(loaded.load_readonly()) << loaded.error();
+    EXPECT_EQ(loaded.rounds_completed, 0u);
+    EXPECT_TRUE(loaded.entries.empty());
+    EXPECT_TRUE(loaded.stream_entries.empty());
+    fs::remove_all(dir);
+  }
+}
+
 TEST(StoreTest, CommitLoadRoundTripsEveryField) {
   const std::string dir = fresh_dir("roundtrip");
   StateStore store(dir);
